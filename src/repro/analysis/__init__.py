@@ -10,7 +10,6 @@ from .experiments import (
 from .fault_simulation import (
     PAPER_FAULT_COUNTS,
     FaultSimulationRow,
-    FaultSweepRunner,
     simulate_fault_row,
     simulate_fault_table,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "run_experiment_result",
     "PAPER_FAULT_COUNTS",
     "FaultSimulationRow",
-    "FaultSweepRunner",
     "simulate_fault_row",
     "simulate_fault_table",
     "HypercubeComparison",

@@ -11,9 +11,9 @@ trials give one table row per ``f``, alongside the analytic reference
 ``d**n - n*f``.
 
 The heavy lifting is done by the shared
-:class:`~repro.engine.executor.KernelExecutor`, fronted here by
-:class:`FaultSweepRunner` (the row/table conventions of the reproduction).
-Both are **topology-generic**: they drive any backend of the
+:class:`~repro.engine.executor.KernelExecutor`; this module contributes only
+the row/table conventions of the reproduction.  The executor is
+**topology-generic**: it drives any backend of the
 :mod:`repro.topology` registry (``debruijn`` — the default and the
 compatibility anchor — ``kautz``, ``hypercube``, ``shuffle_exchange``,
 ``undirected_debruijn``) through the protocol's precomputed gather tables,
@@ -32,10 +32,11 @@ built once and reused across every trial of every row:
 * the per-trial statistics are accumulated into numpy arrays.
 
 On top of the per-trial machinery sits the bit-parallel batch path
-(:meth:`FaultSweepRunner.run_trials_batch`): up to 64 trials of one table
-row are packed into ``uint64`` lanes — one bit per trial per node — and a
-single multi-trial BFS (:mod:`repro.graphs.msbfs`) measures the whole batch
-with ``d`` gathers per level instead of one full BFS per trial.  Fault
+(:meth:`~repro.engine.executor.KernelExecutor.run_trials_batch`): up to 64
+trials of one table row are packed into ``uint64`` lanes — one bit per
+trial per node — and a single multi-trial BFS (:mod:`repro.graphs.msbfs`)
+measures the whole batch with ``d`` gathers per level instead of one full
+BFS per trial.  Fault
 *sampling* stays strictly per-trial (each trial consumes only its own
 seeded stream, via the vectorized :func:`repro.network.faults.sample_node_fault_codes`),
 and trials whose root lands in a faulty necklace are peeled onto the scalar
@@ -53,8 +54,8 @@ Orchestration lives one layer up: ``simulate_fault_table`` routes through
 stream per trial from ``numpy.random.SeedSequence(seed)`` — making rows
 bit-for-bit identical for any worker count and *any* batch size
 (``batch=1`` is the scalar escape hatch), and resumable from JSON
-checkpoints.  ``run_row``/``simulate_fault_row`` with an explicit ``rng``
-keep the older convention of threading one generator sequentially through
+checkpoints.  ``simulate_fault_row`` with an explicit ``rng`` keeps the
+older convention of threading one generator sequentially through
 the trials; the frozen reference implementation shares that convention, so
 the equivalence benchmarks keep comparing like with like.
 
@@ -69,17 +70,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine.cache import LRUCache
-from ..engine.caches import register_cache
-from ..engine.executor import KernelExecutor, cached_executor
+from ..engine.executor import cached_executor
 from ..exceptions import InvalidParameterError
 from ..graphs.msbfs import WORD_WIDTH
-from ..topology import DEFAULT_TOPOLOGY, Topology
+from ..topology import DEFAULT_TOPOLOGY
 from ..words.alphabet import Word
 
 __all__ = [
     "FaultSimulationRow",
-    "FaultSweepRunner",
     "simulate_fault_row",
     "simulate_fault_table",
     "PAPER_FAULT_COUNTS",
@@ -127,7 +125,7 @@ class FaultSimulationRow:
     ) -> "FaultSimulationRow":
         """Build a row from per-trial samples (the one place the statistics live).
 
-        Both the legacy sequential :meth:`FaultSweepRunner.run_row` and the
+        Both the legacy sequential :func:`simulate_fault_row` and the
         engine's :class:`~repro.engine.sweep.ParallelSweepEngine` aggregate
         through here, so their row statistics can never diverge.
         ``reference_size`` is the topology's analytic column
@@ -156,131 +154,6 @@ def _default_root(n: int) -> Word:
     return (0,) * (n - 1) + (1,)
 
 
-class FaultSweepRunner:
-    """Batched fault-sweep API for one topology instance and one root.
-
-    A thin client of the shared :class:`~repro.engine.executor.KernelExecutor`
-    (which owns the tables, the kernel scratch and the batch-vs-scalar
-    dispatch): the runner contributes only the row/table conventions of the
-    Tables 2.1/2.2 reproduction.  The default backend is the paper's
-    ``B(d, n)``; any key of the :mod:`repro.topology` registry (or a
-    pre-built :class:`~repro.topology.base.Topology`) selects another
-    network.  Passing ``executor=`` shares an existing executor (the cached
-    process-wide one, usually) instead of constructing a private one.
-    """
-
-    def __init__(
-        self,
-        d: int | None = None,
-        n: int | None = None,
-        root: Sequence[int] | None = None,
-        topology: str | Topology = DEFAULT_TOPOLOGY,
-        executor: KernelExecutor | None = None,
-    ) -> None:
-        if executor is None:
-            if d is None or n is None:
-                raise InvalidParameterError(
-                    "FaultSweepRunner requires d and n (or a pre-built executor=)"
-                )
-            executor = KernelExecutor(d, n, root=root, topology=topology)
-        self.executor = executor
-        self.topology = executor.topology
-        self.topology_key = executor.topology_key
-        self.d, self.n = executor.d, executor.n
-        #: the De Bruijn codec where the backend has one (B/UB/shuffle-exchange);
-        #: ``None`` for code-native backends like the hypercube
-        self.codec = executor.codec
-        self.root_code = executor.root_code
-        self.root = executor.root
-
-    # -- measurement (delegated to the shared executor) ------------------------
-    def run_trial(self, f: int, rng: np.random.Generator) -> tuple[int, int]:
-        """Run one random trial: returns ``(region_size, root_eccentricity)``."""
-        return self.executor.run_trial(f, rng)
-
-    def measure(self, faults: Iterable[Sequence[int]]) -> tuple[int, int]:
-        """Measure region size and eccentricity for an explicit fault set."""
-        return self.executor.measure(faults)
-
-    def measure_mask(self, removed: np.ndarray) -> tuple[int, int]:
-        """Measure for an explicit removed-node mask (the int-coded hot path)."""
-        return self.executor.measure_mask(removed)
-
-    def measure_mask_with_root(self, removed: np.ndarray) -> tuple[int, int, int | None]:
-        """Like :meth:`measure_mask`, also returning the measured root's code."""
-        return self.executor.measure_mask_with_root(removed)
-
-    def run_trials_batch(
-        self, f: int, seed_seqs: Sequence[np.random.SeedSequence]
-    ) -> list[tuple[int, int]]:
-        """Run up to 64 trials in one bit-parallel sweep; results in trial order.
-
-        See :meth:`repro.engine.executor.KernelExecutor.run_trials_batch`:
-        every returned pair is bit-for-bit what :meth:`run_trial` yields for
-        the same stream.
-        """
-        return self.executor.run_trials_batch(f, seed_seqs)
-
-    # -- rows and tables ------------------------------------------------------
-    def run_row(
-        self, f: int, trials: int = 200, rng: np.random.Generator | None = None
-    ) -> FaultSimulationRow:
-        """Simulate one table row: ``trials`` random fault sets of size ``f``."""
-        if trials < 1:
-            raise InvalidParameterError("at least one trial is required")
-        if rng is None:
-            rng = np.random.default_rng(0)
-        sizes = np.empty(trials, dtype=np.int64)
-        eccs = np.empty(trials, dtype=np.int64)
-        for t in range(trials):
-            sizes[t], eccs[t] = self.run_trial(f, rng)
-        return FaultSimulationRow.from_samples(
-            self.d, self.n, f, sizes, eccs,
-            reference_size=self.topology.reference_size(f),
-        )
-
-    def run_table(
-        self,
-        fault_counts: Iterable[int] = PAPER_FAULT_COUNTS,
-        trials: int = 200,
-        seed: int = 0,
-        batch: int = WORD_WIDTH,
-    ) -> list[FaultSimulationRow]:
-        """Simulate a full table through the sweep engine (inline, this process).
-
-        Delegates to :class:`repro.engine.sweep.ParallelSweepEngine` so that
-        every table — serial or parallel, library call or CLI — runs through
-        one orchestration path with the same per-trial seed streams.
-        ``batch`` sets how many trials each bit-parallel kernel call packs
-        (``1`` forces the scalar per-trial path; the rows are identical).
-        """
-        from ..engine.sweep import ParallelSweepEngine
-
-        # the engine adopts this runner's backend (registered or not), so no
-        # topology key is passed: measurement and aggregation cannot diverge
-        engine = ParallelSweepEngine(self.d, self.n, root=self.root, runner=self, batch=batch)
-        return engine.run(fault_counts=fault_counts, trials=trials, seed=seed)
-
-
-#: Bounded, observable runner cache: one entry per ``(topology, d, n, root)``
-#: served.  Audited (stats/clear) through :mod:`repro.engine.caches`.  The
-#: runners themselves are featherweight — each wraps the process-wide shared
-#: :func:`~repro.engine.executor.cached_executor`, so backend tables and
-#: kernel scratch exist once per process however many layers ask.
-_RUNNER_CACHE = LRUCache(maxsize=8, name="analysis.fault_runners")
-register_cache("analysis.fault_runners", _RUNNER_CACHE)
-
-
-def _cached_runner(
-    d: int, n: int, root: Word | None, topology: str = DEFAULT_TOPOLOGY
-) -> FaultSweepRunner:
-    key = (str(topology), int(d), int(n), root)
-    return _RUNNER_CACHE.get_or_create(
-        key,
-        lambda: FaultSweepRunner(executor=cached_executor(d, n, root, topology)),
-    )
-
-
 def simulate_fault_row(
     d: int,
     n: int,
@@ -293,12 +166,22 @@ def simulate_fault_row(
     """Simulate one table row: ``trials`` random fault sets of size ``f``.
 
     Follows the paper's measurement protocol exactly, including the fallback
-    to a neighbouring root when ``R`` falls inside a faulty unit.  Thin
-    wrapper over a cached :class:`FaultSweepRunner`; ``topology`` selects
-    any registered backend (default: the paper's De Bruijn graph).
+    to a neighbouring root when ``R`` falls inside a faulty unit.  One
+    generator is threaded sequentially through the trials (``rng``; default
+    ``default_rng(0)``), the convention the frozen reference implementation
+    shares.  ``topology`` selects any registered backend (default: the
+    paper's De Bruijn graph).
     """
-    root_key = None if root is None else tuple(int(x) for x in root)
-    return _cached_runner(d, n, root_key, topology).run_row(f, trials=trials, rng=rng)
+    if trials < 1:
+        raise InvalidParameterError("at least one trial is required")
+    if rng is None:
+        rng = np.random.default_rng(0)
+    executor = cached_executor(d, n, root, topology)
+    samples = np.array([executor.run_trial(f, rng) for _ in range(trials)], dtype=np.int64)
+    return FaultSimulationRow.from_samples(
+        executor.d, executor.n, f, samples[:, 0], samples[:, 1],
+        reference_size=executor.topology.reference_size(f),
+    )
 
 
 def simulate_fault_table(

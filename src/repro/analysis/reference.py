@@ -2,14 +2,13 @@
 
 This module freezes the original implementation of
 :func:`repro.analysis.fault_simulation.simulate_fault_row` exactly as it
-stood before the :class:`~repro.analysis.fault_simulation.FaultSweepRunner`
-refactor: the faulty-necklace mask is expanded one necklace member at a time
+stood before the integer-codec refactor: the faulty-necklace mask is expanded one necklace member at a time
 in Python, the BFS successor/predecessor matrices are rebuilt on every
 sweep, the component and the eccentricity are measured by two separate BFS
 passes, and the root fallback explores the graph in tuple space.
 
 It exists for cross-validation (the test-suite compares its rows against the
-runner's) and as the baseline for ``benchmarks/test_codec_speedup.py``.  Do
+executor's) and as the baseline for ``benchmarks/test_codec_speedup.py``.  Do
 not use it for real sweeps — that is the whole point.
 """
 

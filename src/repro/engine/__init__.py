@@ -5,12 +5,14 @@ system (the ROADMAP's production north star):
 
 * :class:`~repro.engine.executor.KernelExecutor` — the one owner of
   topology tables, kernel scratch buffers and the batch-vs-scalar dispatch
-  heuristic; every other layer (runner, sweep engine, service, the
+  heuristic; every other layer (sweep engine, service, the
   :mod:`repro.server` gateway) is a thin client of it.
 * :class:`~repro.engine.service.EmbeddingService` — a resident query API
   ``embed(d, n, faults) -> EmbeddingResponse`` with canonical fault
   normalisation, bounded LRU caches and hit/latency counters, plus the
-  topology-generic ``measure(...) -> MeasureResponse`` region queries.
+  topology-generic ``measure(...) -> MeasureResponse`` region queries
+  (:class:`~repro.engine.service.MeasureRequest` is the one measurement
+  normaliser and response builder, shared with the gateway).
 * :class:`~repro.engine.sweep.ParallelSweepEngine` — multiprocess sharded
   execution of the Table 2.1/2.2-style fault sweeps (any backend of the
   :mod:`repro.topology` registry) with per-trial ``SeedSequence``-derived
@@ -23,9 +25,9 @@ system (the ROADMAP's production north star):
 :mod:`repro.engine.caches` the process-wide cache audit.
 
 The service/sweep symbols are loaded lazily (PEP 562): the analysis layer
-imports :mod:`repro.engine.cache` for its bounded runner cache while the
-sweep engine imports the analysis layer, and lazy loading keeps that
-mutual dependency acyclic at import time.
+imports :mod:`repro.engine.executor` while the sweep engine imports the
+analysis layer, and lazy loading keeps that mutual dependency acyclic at
+import time.
 """
 
 from typing import Any
@@ -43,6 +45,7 @@ __all__ = [
     "cached_executor",
     "EmbeddingRequest",
     "EmbeddingResponse",
+    "MeasureRequest",
     "MeasureResponse",
     "EmbeddingService",
     "ParallelSweepEngine",
@@ -69,6 +72,7 @@ _LAZY = {
     "cached_executor": "executor",
     "EmbeddingRequest": "service",
     "EmbeddingResponse": "service",
+    "MeasureRequest": "service",
     "MeasureResponse": "service",
     "EmbeddingService": "service",
     "ParallelSweepEngine": "sweep",

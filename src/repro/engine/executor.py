@@ -1,18 +1,15 @@
 """The shared kernel executor: one owner for tables, scratch and dispatch.
 
-Before this module existed the batch-vs-scalar decision and the measurement
-core were duplicated across three layers: ``FaultSweepRunner`` held the
-kernel calls and the root-fallback machinery, ``ParallelSweepEngine`` held
-the batch-width heuristic (``_measure_chunk``), and ``EmbeddingService``
-drove the runner one scalar query at a time.  :class:`KernelExecutor` is the
-single extraction point: it owns the topology instance (and through it the
-gather tables), the reusable kernel scratch buffers
-(:class:`~repro.graphs.msbfs.BatchWorkspace`), the intact-distance cache
-behind the paper's neighbouring-root fallback, and the one
-batch-vs-scalar dispatch heuristic (:data:`KernelExecutor.MIN_KERNEL_BATCH`).
-Every consumer — the sweep runner, the parallel engine's workers, the
-embedding service, and the :mod:`repro.server` micro-batching gateway — is a
-thin client of this class, so their measurements can never diverge.
+:class:`KernelExecutor` is the single owner of the measurement core: the
+topology instance (and through it the gather tables), the reusable kernel
+scratch buffers (:class:`~repro.graphs.msbfs.BatchWorkspace`), the
+intact-distance cache behind the paper's neighbouring-root fallback, and
+the one batch-vs-scalar dispatch heuristic
+(:data:`KernelExecutor.MIN_KERNEL_BATCH`).
+Every consumer — :func:`~repro.analysis.fault_simulation.simulate_fault_row`,
+the parallel engine's workers, the embedding service, and the
+:mod:`repro.server` micro-batching gateway — is a thin client of this class,
+so their measurements can never diverge.
 
 Three entry shapes cover every caller:
 
@@ -193,7 +190,7 @@ class KernelExecutor:
         """Measure one chunk of trials, ``batch`` at a time: ``(t, size, ecc)`` list.
 
         This is the one batch-vs-scalar dispatch heuristic in the codebase
-        (formerly duplicated between the sweep engine and the runner):
+        (shared by the inline sweep and its worker processes):
         ``batch=1`` takes the scalar per-trial path; ``batch>1`` packs up to
         ``batch`` trials per bit-parallel kernel call, with remnants
         narrower than :data:`MIN_KERNEL_BATCH` falling back to the scalar

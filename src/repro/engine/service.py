@@ -26,9 +26,13 @@ Next to the ring queries sits the **topology-generic measurement API**:
 :meth:`EmbeddingService.measure` answers "how large is the fault-free
 region around the root, and how many broadcast steps does it take?" for
 *any* backend of the :mod:`repro.topology` registry — De Bruijn, Kautz,
-hypercube, shuffle-exchange — normalising the fault set to canonical
-fault-unit representatives (necklaces where the backend has them) before
-the cache lookup, exactly as the ring cache does.
+hypercube, shuffle-exchange.  It is the one measurement pipeline of the
+package: :class:`MeasureRequest` normalises a query to canonical fault-unit
+representatives (necklaces where the backend has them) and its cache key,
+:meth:`MeasureRequest.response` builds every :class:`MeasureResponse`, and
+:attr:`EmbeddingService.measurements` is the one answer cache.  The
+service measures synchronously; the :mod:`repro.server` gateway runs the
+same request object through its micro-batcher and the same cache.
 """
 
 from __future__ import annotations
@@ -43,14 +47,16 @@ import numpy as np
 from ..core.ffc import find_fault_free_cycle, guaranteed_cycle_length
 from ..exceptions import FaultBudgetExceededError, InvalidParameterError
 from ..obs import MetricsRegistry
-from ..topology import DEFAULT_TOPOLOGY, get_topology
+from ..topology import DEFAULT_TOPOLOGY, Topology, get_topology
 from ..words.alphabet import Word, validate_word
 from ..words.codec import WordCodec, get_codec
 from .cache import LRUCache
+from .executor import cached_executor
 
 __all__ = [
     "EmbeddingRequest",
     "EmbeddingResponse",
+    "MeasureRequest",
     "MeasureResponse",
     "EmbeddingService",
 ]
@@ -187,6 +193,11 @@ class MeasureResponse:
     is the node the measurement actually ran from: the requested (or
     default) root if it survived, otherwise the sweep protocol's
     neighbouring-root fallback; ``None`` when every node was removed.
+
+    A ``degraded`` answer (the gateway's graceful-degradation mode under
+    queue saturation) carries only the analytic fields: ``root``,
+    ``region_size`` and ``root_eccentricity`` are ``None``, and only then
+    does :meth:`as_dict` write a ``"degraded": true`` key.
     """
 
     topology: str
@@ -195,15 +206,16 @@ class MeasureResponse:
     faults: tuple[Word, ...]
     fault_units: tuple[Word, ...]
     root: Word | None
-    region_size: int
-    root_eccentricity: int
+    region_size: int | None
+    root_eccentricity: int | None
     reference_size: int
     guarantee_bound: int | None
     cached: bool
     elapsed_s: float
+    degraded: bool = False
 
     def as_dict(self) -> dict:
-        return {
+        data = {
             "topology": self.topology,
             "d": self.d,
             "n": self.n,
@@ -215,13 +227,17 @@ class MeasureResponse:
             "reference_size": self.reference_size,
             "guarantee_bound": self.guarantee_bound,
             "cached": self.cached,
-            "elapsed_s": self.elapsed_s,
         }
+        if self.degraded:
+            data["degraded"] = True
+        data["elapsed_s"] = self.elapsed_s
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "MeasureResponse":
         """Lossless inverse of :meth:`as_dict`."""
         bound = data["guarantee_bound"]
+        size, ecc = data["region_size"], data["root_eccentricity"]
         return cls(
             topology=str(data["topology"]),
             d=int(data["d"]),
@@ -229,12 +245,95 @@ class MeasureResponse:
             faults=tuple(tuple(int(x) for x in w) for w in data["faults"]),
             fault_units=tuple(tuple(int(x) for x in w) for w in data["fault_units"]),
             root=None if data["root"] is None else tuple(int(x) for x in data["root"]),
-            region_size=int(data["region_size"]),
-            root_eccentricity=int(data["root_eccentricity"]),
+            region_size=None if size is None else int(size),
+            root_eccentricity=None if ecc is None else int(ecc),
             reference_size=int(data["reference_size"]),
             guarantee_bound=None if bound is None else int(bound),
             cached=bool(data["cached"]),
             elapsed_s=float(data["elapsed_s"]),
+            degraded=bool(data.get("degraded", False)),
+        )
+
+
+@dataclass(frozen=True)
+class MeasureRequest:
+    """One measurement query, normalised — the single ``/measure`` normaliser.
+
+    ``fault_codes`` are the requested faults as node codes, in request order
+    (duplicates kept: they are echoed back), and ``rep_codes`` the sorted
+    canonical representatives of the fault units they kill — necklaces for
+    the De Bruijn family, the nodes themselves for single-node-unit
+    backends — so requests killing the same units share one
+    :meth:`cache_key`.  ``root`` is the requested measurement root
+    (``None``: the backend's default); it selects the executor.
+    """
+
+    topo: Topology
+    fault_codes: tuple[int, ...]
+    rep_codes: tuple[int, ...]
+    root: Word | None = None
+
+    @classmethod
+    def make(
+        cls,
+        d: int,
+        n: int,
+        faults: Iterable[Sequence[int]] = (),
+        root: Sequence[int] | None = None,
+        topology: str = DEFAULT_TOPOLOGY,
+    ) -> "MeasureRequest":
+        """Resolve the backend, encode the faults, take the fault-unit reps."""
+        topo = get_topology(topology, d, n)
+        fault_codes = tuple(topo.encode(w) for w in faults)
+        return cls(
+            topo=topo,
+            fault_codes=fault_codes,
+            rep_codes=tuple(topo.fault_unit_reps(fault_codes)),
+            root=None if root is None else tuple(int(x) for x in root),
+        )
+
+    def cache_key(self, root_code: int) -> tuple:
+        """The answer-cache key, given the root code of the measuring executor."""
+        topo = self.topo
+        return (topo.key, topo.d, topo.n, self.rep_codes, root_code)
+
+    def mask(self) -> np.ndarray:
+        """The removed-node mask the kernel measures."""
+        return self.topo.fault_unit_mask(np.asarray(self.fault_codes, dtype=np.int64))
+
+    def response(
+        self,
+        measured: tuple[int, int, int | None] | None,
+        cached: bool,
+        elapsed_s: float,
+    ) -> MeasureResponse:
+        """The one :class:`MeasureResponse` builder.
+
+        ``measured`` is the executor's ``(size, ecc, root_code)``; ``None``
+        builds the degraded, bound-only answer.
+        """
+        topo = self.topo
+        f = len(set(self.fault_codes))
+        size: int | None = None
+        ecc: int | None = None
+        root: Word | None = None
+        if measured is not None:
+            size, ecc, root_code = int(measured[0]), int(measured[1]), measured[2]
+            root = None if root_code is None else topo.decode(root_code)
+        return MeasureResponse(
+            topology=topo.key,
+            d=topo.d,
+            n=topo.n,
+            faults=tuple(topo.decode(c) for c in self.fault_codes),
+            fault_units=tuple(topo.decode(c) for c in self.rep_codes),
+            root=root,
+            region_size=size,
+            root_eccentricity=ecc,
+            reference_size=topo.reference_size(f),
+            guarantee_bound=topo.guarantee_bound(f),
+            cached=cached,
+            elapsed_s=elapsed_s,
+            degraded=measured is None,
         )
 
 
@@ -264,7 +363,9 @@ class EmbeddingService:
         max_churn_sessions: int = 32,
     ) -> None:
         self._answers = LRUCache(max_cached_answers, name="engine.embedding_answers")
-        self._measurements = LRUCache(
+        #: the one ``/measure`` answer cache, keyed by
+        #: :meth:`MeasureRequest.cache_key`; the gateway shares it
+        self.measurements = LRUCache(
             max_cached_answers, name="engine.measurement_answers"
         )
         self._codecs = LRUCache(max_cached_codecs, name="engine.codec_tables")
@@ -335,21 +436,7 @@ class EmbeddingService:
             cycle = result.cycle
             self._answers.put(key, cycle)
 
-        bound = self._guarantee_bound(codec.d, codec.n, len(set(fault_words)))
-        elapsed = time.perf_counter() - start
-        self._observe("embed", elapsed, cached)
-        return EmbeddingResponse(
-            d=codec.d,
-            n=codec.n,
-            faults=tuple(fault_words),
-            faulty_necklaces=tuple(codec.decode(code) for code in rep_codes),
-            cycle=cycle,
-            length=len(cycle),
-            guarantee_bound=bound,
-            meets_guarantee=True if bound is None else len(cycle) >= bound,
-            cached=cached,
-            elapsed_s=elapsed,
-        )
+        return self._embed_response(codec, fault_words, rep_codes, cycle, cached, start)
 
     # -- dynamic faults (churn) ------------------------------------------------
     def apply_event(
@@ -435,21 +522,8 @@ class EmbeddingService:
             if session.started and rep_key == session.rep_key:
                 # the representative set is untouched: the previous cycle IS
                 # the full recomputation's answer (same cache key), reuse it
-                cycle = session.cycle
-                bound = self._guarantee_bound(codec.d, codec.n, len(fault_words))
-                elapsed = time.perf_counter() - start
-                self._observe("embed", elapsed, cached=True)
-                response = EmbeddingResponse(
-                    d=codec.d,
-                    n=codec.n,
-                    faults=tuple(fault_words),
-                    faulty_necklaces=tuple(codec.decode(c) for c in rep_key),
-                    cycle=cycle,
-                    length=len(cycle),
-                    guarantee_bound=bound,
-                    meets_guarantee=True if bound is None else len(cycle) >= bound,
-                    cached=True,
-                    elapsed_s=elapsed,
+                response = self._embed_response(
+                    codec, fault_words, rep_key, session.cycle, True, start
                 )
                 self._obs_churn["incremental"].inc()
             else:
@@ -491,50 +565,31 @@ class EmbeddingService:
     ) -> MeasureResponse:
         """Measure the fault-free region around the root on any topology.
 
-        The fault set is normalised to canonical fault-unit representatives
-        (necklace representatives for the De Bruijn family, the nodes
-        themselves for single-node-unit backends) before the cache lookup,
-        so requests whose faults kill the same units hit the same entry.
-        The measurement itself is one dispatch through the process-wide
-        shared :class:`~repro.engine.executor.KernelExecutor` and follows
-        the sweep protocol exactly, including the neighbouring-root fallback
-        when the requested root lies in a faulty unit — the response's
-        ``root`` reports the node actually measured from.
+        The query is normalised by :meth:`MeasureRequest.make` (canonical
+        fault-unit representatives) before the lookup in
+        :attr:`measurements`, so requests whose faults kill the same units
+        hit the same entry.  A miss is one synchronous dispatch through the
+        process-wide shared :class:`~repro.engine.executor.KernelExecutor`
+        and follows the sweep protocol exactly, including the
+        neighbouring-root fallback when the requested root lies in a faulty
+        unit — the response's ``root`` reports the node actually measured
+        from.
         """
-        from .executor import cached_executor
-
         start = time.perf_counter()
-        topo = get_topology(topology, d, n)
-        fault_codes = [topo.encode(w) for w in faults]
-        rep_codes = topo.fault_unit_reps(fault_codes)
-        root_key = None if root is None else tuple(int(x) for x in root)
-        executor = cached_executor(topo.d, topo.n, root_key, topo.key)
-        key = (topo.key, topo.d, topo.n, tuple(rep_codes), executor.root_code)
+        request = MeasureRequest.make(d, n, faults, root, topology)
+        topo = request.topo
+        executor = cached_executor(topo.d, topo.n, request.root, topo.key)
+        key = request.cache_key(executor.root_code)
 
-        measured = self._measurements.get(key)
+        measured = self.measurements.get(key)
         cached = measured is not None
         if not cached:
-            removed = topo.fault_unit_mask(np.asarray(fault_codes, dtype=np.int64))
-            measured = executor.measure_mask_with_root(removed)
-            self._measurements.put(key, measured)
+            measured = executor.measure_mask_with_root(request.mask())
+            self.measurements.put(key, measured)
 
-        size, ecc, measured_root = measured
         elapsed = time.perf_counter() - start
         self._observe("measure", elapsed, cached)
-        return MeasureResponse(
-            topology=topo.key,
-            d=topo.d,
-            n=topo.n,
-            faults=tuple(topo.decode(c) for c in fault_codes),
-            fault_units=tuple(topo.decode(c) for c in rep_codes),
-            root=None if measured_root is None else topo.decode(measured_root),
-            region_size=int(size),
-            root_eccentricity=int(ecc),
-            reference_size=topo.reference_size(len(set(fault_codes))),
-            guarantee_bound=topo.guarantee_bound(len(set(fault_codes))),
-            cached=cached,
-            elapsed_s=elapsed,
-        )
+        return request.response(measured, cached, elapsed)
 
     # -- observability ---------------------------------------------------------
     def _observe(self, endpoint: str, elapsed: float, cached: bool) -> None:
@@ -567,7 +622,7 @@ class EmbeddingService:
             "compute_latency_s": compute_latency,
             "avg_latency_s": total_latency / requests if requests else 0.0,
             "answers": self._answers.stats().as_dict(),
-            "measurements": self._measurements.stats().as_dict(),
+            "measurements": self.measurements.stats().as_dict(),
             "codecs": self._codecs.stats().as_dict(),
             "churn": {
                 "incremental": int(self._obs_churn["incremental"].value()),
@@ -581,7 +636,7 @@ class EmbeddingService:
     def clear(self, include_process_caches: bool = False) -> None:
         """Evict the service caches (optionally every audited process cache too)."""
         self._answers.clear()
-        self._measurements.clear()
+        self.measurements.clear()
         self._codecs.clear()
         with self._churn_lock:
             self._churn_sessions.clear()
@@ -605,6 +660,32 @@ class EmbeddingService:
                     f"for B({codec.d},{codec.n})"
                 )
         return words
+
+    def _embed_response(
+        self,
+        codec: WordCodec,
+        fault_words: Sequence[Word],
+        rep_codes: Sequence[int],
+        cycle: tuple[Word, ...],
+        cached: bool,
+        start: float,
+    ) -> EmbeddingResponse:
+        """The one :class:`EmbeddingResponse` builder (records the query too)."""
+        bound = self._guarantee_bound(codec.d, codec.n, len(set(fault_words)))
+        elapsed = time.perf_counter() - start
+        self._observe("embed", elapsed, cached)
+        return EmbeddingResponse(
+            d=codec.d,
+            n=codec.n,
+            faults=tuple(fault_words),
+            faulty_necklaces=tuple(codec.decode(code) for code in rep_codes),
+            cycle=cycle,
+            length=len(cycle),
+            guarantee_bound=bound,
+            meets_guarantee=True if bound is None else len(cycle) >= bound,
+            cached=cached,
+            elapsed_s=elapsed,
+        )
 
     @staticmethod
     def _guarantee_bound(d: int, n: int, f: int) -> int | None:

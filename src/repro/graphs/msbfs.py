@@ -36,7 +36,7 @@ for undirected topologies the same holds trivially.
 
 Trials whose root is itself removed are not handled here: the kernel reports
 them in ``root_dead`` and the caller peels them onto the scalar
-root-fallback path (:meth:`repro.analysis.fault_simulation.FaultSweepRunner`),
+root-fallback path (:class:`repro.engine.executor.KernelExecutor`),
 which is statistically rare in the tabulated regimes.
 """
 

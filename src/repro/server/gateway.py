@@ -7,14 +7,14 @@ routes:
 ``POST /measure``
     ``{"topology": "kautz", "d": 2, "n": 8, "faults": [[0,1,...], ...],
     "root": null}`` — the topology-generic fault-free-region query.
-    Requests are normalised to canonical fault-unit representatives (the
-    same cache key the :class:`~repro.engine.service.EmbeddingService`
-    uses), answered from the gateway's bounded LRU when possible, and
-    otherwise coalesced by the shard's
+    Requests go through the service's measurement pipeline: normalised by
+    :class:`~repro.engine.service.MeasureRequest` to canonical fault-unit
+    representatives, answered from the service's one measurement cache
+    when possible, and otherwise coalesced by the shard's
     :class:`~repro.server.batcher.MicroBatcher` into <= 64-lane kernel
     launches.  The response is a
-    :class:`~repro.engine.service.MeasureResponse` dict — byte-identical
-    fields to the scalar service path.
+    :class:`~repro.engine.service.MeasureResponse` dict built by the same
+    builder as the scalar service path.
 
 ``POST /embed``
     ``{"d": 2, "n": 10, "faults": [...], "root_hint": null}`` — one FFC
@@ -26,7 +26,8 @@ routes:
 
 ``GET /stats``
     Request/latency/batch-occupancy metrics per shard, gateway totals, the
-    gateway answer cache, and the full engine cache audit
+    measurement answer cache (``measure_cache``: the same cache as
+    ``service.measurements``), and the full engine cache audit
     (:meth:`EmbeddingService.stats`).
 
 ``GET /healthz``
@@ -53,7 +54,10 @@ One executor shard — one :class:`MicroBatcher` over one process-wide
 :func:`~repro.engine.executor.cached_executor` — exists per
 ``(topology, d, n, root)`` served.  Bounded shard queues shed load as HTTP
 503; malformed requests are 400s; nothing the client sends can grow server
-memory without bound (body size is capped, caches are LRU).
+memory without bound (body size is capped, caches are LRU).  Request
+fields holding integers (``d``, ``n``, ``seq`` and the digits of fault,
+node and root words) accept JSON integers only; anything else is a 400
+naming the field.
 """
 
 from __future__ import annotations
@@ -65,12 +69,10 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import partial
-
-import numpy as np
+from typing import Any
 
 from ..churn.chaos import ChaosConfig, ChaosInjector
-from ..engine.cache import LRUCache
-from ..engine.service import EmbeddingRequest, EmbeddingService, MeasureResponse
+from ..engine.service import EmbeddingRequest, EmbeddingService, MeasureRequest
 from ..exceptions import (
     DeadlineExceededError,
     InvalidParameterError,
@@ -81,8 +83,7 @@ from ..graphs.msbfs import WORD_WIDTH
 from ..obs import DEFAULT_REGISTRY, MetricsRegistry, Tracer
 from ..obs.metrics import render_registries
 from ..obs.tracing import Trace
-from ..topology import DEFAULT_TOPOLOGY, get_topology
-from ..topology.base import Topology
+from ..topology import DEFAULT_TOPOLOGY
 from .batcher import MicroBatcher, QueueFullError, latency_percentiles
 
 __all__ = ["GatewayConfig", "BatchingGateway", "run"]
@@ -113,6 +114,36 @@ def _query_param(query: str, name: str) -> str | None:
         if sep and key == name:
             return value
     return None
+
+
+def _field(payload: dict, name: str, depth: int = 0, required: bool = True) -> Any:
+    """Read one request-body field that holds JSON integers only.
+
+    ``depth`` 0 reads an integer (``d``, ``n``, ``seq``), 1 a word of
+    integer digits (``node``, ``root``), 2 a list of words (``faults``).
+    An optional field that is absent or null reads as ``None``.  A missing
+    required field, a wrong shape or any non-integer leaf (floats and
+    booleans included) raises :class:`InvalidParameterError` naming the
+    field, which the router answers as a 400.
+    """
+    value = payload.get(name)
+    if value is None:
+        if required:
+            raise InvalidParameterError(f"missing required field {name!r}")
+        return None
+
+    def read(item: Any, level: int) -> Any:
+        if level == 0:
+            if type(item) is not int:  # bool is an int subclass: refused too
+                raise InvalidParameterError(
+                    f"field {name!r} must hold JSON integers, got {item!r}"
+                )
+            return item
+        if not isinstance(item, list):
+            raise InvalidParameterError(f"field {name!r} must be a list, got {item!r}")
+        return tuple(read(x, level - 1) for x in item)
+
+    return read(value, depth)
 
 
 @dataclass(frozen=True)
@@ -165,9 +196,6 @@ class BatchingGateway:
             registry=self.registry,
         )
         self._batchers: dict[tuple, MicroBatcher] = {}
-        self._measure_cache = LRUCache(
-            self.config.max_cached_answers, name="server.measure_answers"
-        )
         self._server: asyncio.AbstractServer | None = None
         self._started = time.time()
         self._obs_requests = self.registry.counter(
@@ -230,15 +258,16 @@ class BatchingGateway:
         self, payload: dict, trace: Trace | None = None, saturate: bool = False
     ) -> dict:
         start = time.perf_counter()
-        topology = str(payload.get("topology", DEFAULT_TOPOLOGY))
-        topo = get_topology(topology, int(payload["d"]), int(payload["n"]))
-        faults = payload.get("faults") or []
-        fault_codes = [topo.encode(tuple(int(x) for x in w)) for w in faults]
-        rep_codes = topo.fault_unit_reps(fault_codes)
-        root = payload.get("root")
-        root_key = None if root is None else tuple(int(x) for x in root)
-        batcher = self._shard(topo.key, topo.d, topo.n, root_key)
-        key = (topo.key, topo.d, topo.n, tuple(rep_codes), batcher.executor.root_code)
+        request = MeasureRequest.make(
+            _field(payload, "d"),
+            _field(payload, "n"),
+            faults=_field(payload, "faults", depth=2, required=False) or (),
+            root=_field(payload, "root", depth=1, required=False),
+            topology=str(payload.get("topology", DEFAULT_TOPOLOGY)),
+        )
+        topo = request.topo
+        batcher = self._shard(topo.key, topo.d, topo.n, request.root)
+        key = request.cache_key(batcher.executor.root_code)
 
         if saturate:
             # injected saturation models a fully saturated shard: it must
@@ -246,102 +275,64 @@ class BatchingGateway:
             # cache can absorb the request
             if not self.config.degraded:
                 raise QueueFullError("chaos: injected queue saturation")
-            return self._degraded_measure(topo, fault_codes, rep_codes, start, trace)
+            return self._reply(request, None, False, start, trace)
 
-        measured = self._measure_cache.get(key)
+        measured = self.service.measurements.get(key)
         cached = measured is not None
-        gateway_end = time.perf_counter()
         if trace is not None:
             # parse + normalise + cache lookup; the queue/batch/kernel spans
             # (cache misses only) are recorded downstream
-            trace.add_span("gateway", start, gateway_end)
+            trace.add_span("gateway", start, time.perf_counter())
         if not cached:
-            removed = topo.fault_unit_mask(np.asarray(fault_codes, dtype=np.int64))
             deadline_ms = float(
                 payload.get("deadline_ms", self.config.deadline_ms) or 0.0
             )
             try:
                 measured = await batcher.submit(
-                    removed,
+                    request.mask(),
                     trace,
                     deadline_s=deadline_ms / 1000.0 if deadline_ms > 0 else None,
                 )
             except QueueFullError:
                 if not self.config.degraded:
                     raise
-                return self._degraded_measure(topo, fault_codes, rep_codes, start, trace)
-            self._measure_cache.put(key, measured)
+                return self._reply(request, None, False, start, trace)
+            self.service.measurements.put(key, measured)
+        return self._reply(request, measured, cached, start, trace)
 
+    def _reply(
+        self,
+        request: MeasureRequest,
+        measured: tuple[int, int, int | None] | None,
+        cached: bool,
+        start: float,
+        trace: Trace | None,
+    ) -> dict:
+        """The ``/measure`` body; ``measured=None`` is the degraded answer.
+
+        Graceful degradation: instead of a hard 503 the client gets the
+        analytic fields that need no kernel time (the reference size and the
+        paper's worst-case guarantee bound), with the measured fields null
+        and ``degraded: true`` so no caller can mistake it for a real
+        measurement.  Degraded answers are never cached.
+        """
         reply_start = time.perf_counter()
-        size, ecc, measured_root = measured
-        data = MeasureResponse(
-            topology=topo.key,
-            d=topo.d,
-            n=topo.n,
-            faults=tuple(topo.decode(c) for c in fault_codes),
-            fault_units=tuple(topo.decode(c) for c in rep_codes),
-            root=None if measured_root is None else topo.decode(measured_root),
-            region_size=int(size),
-            root_eccentricity=int(ecc),
-            reference_size=topo.reference_size(len(set(fault_codes))),
-            guarantee_bound=topo.guarantee_bound(len(set(fault_codes))),
-            cached=cached,
-            elapsed_s=0.0,
-        ).as_dict()
+        if measured is None:
+            self._obs_degraded.inc()
+        data = request.response(measured, cached, reply_start - start).as_dict()
         end = time.perf_counter()
-        data["elapsed_s"] = end - start
         if trace is not None:
             trace.add_span("reply", reply_start, end)
             trace.finish(elapsed_s=end - start)
             data["trace_id"] = trace.trace_id
         return data
 
-    def _degraded_measure(
-        self,
-        topo: Topology,
-        fault_codes: list[int],
-        rep_codes: np.ndarray,
-        start: float,
-        trace: Trace | None,
-    ) -> dict:
-        """Guarantee-bound-only answer served when the queue saturates.
-
-        Graceful degradation: instead of a hard 503 the client gets the
-        analytic fields that need no kernel time (the reference size and the
-        paper's worst-case guarantee bound), with the measured fields null
-        and ``degraded: true`` so no caller can mistake it for a real
-        measurement.  Never cached.
-        """
-        self._obs_degraded.inc()
-        f = len(set(fault_codes))
-        data = {
-            "topology": topo.key,
-            "d": topo.d,
-            "n": topo.n,
-            "faults": [list(topo.decode(c)) for c in fault_codes],
-            "fault_units": [list(topo.decode(int(c))) for c in rep_codes],
-            "root": None,
-            "region_size": None,
-            "root_eccentricity": None,
-            "reference_size": topo.reference_size(f),
-            "guarantee_bound": topo.guarantee_bound(f),
-            "cached": False,
-            "degraded": True,
-            "elapsed_s": 0.0,
-        }
-        end = time.perf_counter()
-        data["elapsed_s"] = end - start
-        if trace is not None:
-            trace.finish(elapsed_s=end - start)
-            data["trace_id"] = trace.trace_id
-        return data
-
     async def _embed(self, payload: dict) -> dict:
         request = EmbeddingRequest.make(
-            int(payload["d"]),
-            int(payload["n"]),
-            faults=payload.get("faults") or [],
-            root_hint=payload.get("root_hint"),
+            _field(payload, "d"),
+            _field(payload, "n"),
+            faults=_field(payload, "faults", depth=2, required=False) or (),
+            root_hint=_field(payload, "root_hint", depth=1, required=False),
         )
         # the FFC construction is scalar CPU work: keep the loop responsive
         # by running it on a worker thread (the service is thread-safe)
@@ -360,29 +351,29 @@ class BatchingGateway:
         the session so a scenario always starts from an empty fault set.
         """
         op = str(payload.get("op", ""))
-        d, n = int(payload["d"]), int(payload["n"])
-        hint = payload.get("root_hint")
+        d, n = _field(payload, "d"), _field(payload, "n")
+        hint = _field(payload, "root_hint", depth=1, required=False)
         loop = asyncio.get_running_loop()
         if op == "reset":
             await loop.run_in_executor(
                 None, partial(self.service.reset_churn, d, n, hint)
             )
             return {"status": "reset", "d": d, "n": n}
-        seq = payload.get("seq")
+        seq = _field(payload, "seq", required=False)
         call = partial(
             self.service.apply_event,
             d,
             n,
             op,
-            payload["node"],
+            _field(payload, "node", depth=1),
             root_hint=hint,
-            seq=None if seq is None else int(seq),
+            seq=seq,
         )
         response = await loop.run_in_executor(None, call)
         data = response.as_dict(include_cycle=bool(payload.get("include_cycle", True)))
         if seq is not None:
             # echoed so a retrying client can pair answer with delivery
-            data["seq"] = int(seq)
+            data["seq"] = seq
         return data
 
     def stats(self) -> dict:
@@ -411,11 +402,14 @@ class BatchingGateway:
             "retried": int(self._obs_retried.value()),
         }
         server.update(latency_percentiles(self._obs_request_seconds.samples()))
+        service = self.service.stats()
         return {
             "server": server,
             "shards": shards,
-            "measure_cache": self._measure_cache.stats().as_dict(),
-            "service": self.service.stats(),
+            # a view of the one measurement cache the gateway shares with
+            # the service (kept under its own key for /stats stability)
+            "measure_cache": service["measurements"],
+            "service": service,
         }
 
     def metrics_text(self) -> str:
@@ -530,6 +524,8 @@ class BatchingGateway:
                 try:
                     length = int(headers.get("content-length", 0))
                 except ValueError:
+                    length = -1
+                if length < 0:
                     await self._respond(writer, 400, {"error": "bad Content-Length"}, True)
                     return
                 if length > self.config.max_body_bytes:

@@ -13,7 +13,7 @@ reference/guarantee bounds), and the registry maps string keys to backends:
 ``undirected_debruijn`` ``UB(d, n)`` — Section 1.2, necklace units
 ======================  =====================================================
 
-Every sweep layer (`FaultSweepRunner`, `ParallelSweepEngine`,
+Every sweep layer (`KernelExecutor`, `ParallelSweepEngine`,
 `simulate_fault_table`, the embedding service, ``python -m repro sweep
 --topology ...``) resolves backends through :func:`get_topology`; the
 ``debruijn`` backend is the compatibility anchor whose tables are bit-for-bit

@@ -5,8 +5,8 @@
 protocol without changing a single table: the successor/predecessor matrices,
 the contiguous predecessor columns and the necklace machinery *are* the
 codec's cached arrays, so a topology-generic sweep over the ``debruijn``
-backend performs bit-for-bit the operations the pre-registry
-``FaultSweepRunner`` performed — Tables 2.1/2.2 cannot move.
+backend performs bit-for-bit the operations the pre-registry codec sweep
+performed — Tables 2.1/2.2 cannot move.
 
 :class:`UndirectedDeBruijnTopology` is ``UB(d, n)`` (Section 1.2): the same
 node coding, one symmetric gather table (successors and predecessors

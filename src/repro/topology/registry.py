@@ -1,7 +1,7 @@
 """String-keyed registry of topology backends.
 
 One registry serves every layer that takes a ``--topology``/``topology=``
-argument: the sweep runner, the parallel engine, the embedding service, the
+argument: the kernel executor, the parallel engine, the embedding service, the
 benchmark harness and the CLI all resolve backends through
 :func:`get_topology`.  Instances are cached per ``(key, d, n)`` in a small
 bounded LRU (their tables are the expensive part, and workloads revisit the

@@ -1,6 +1,6 @@
-"""Batched-vs-scalar equivalence of the fault-sweep runner (ISSUE 3).
+"""Batched-vs-scalar equivalence of the fault-sweep executor.
 
-``FaultSweepRunner.run_trials_batch`` must be bit-for-bit identical to
+``KernelExecutor.run_trials_batch`` must be bit-for-bit identical to
 per-trial ``run_trial`` calls on the same seed streams — in particular in
 the *root-fallback regime*: trials where the measurement root ``R`` lands
 in a faulty necklace and the paper's neighbouring-root rule (with the
@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.fault_simulation import FaultSweepRunner
+from repro.engine.executor import KernelExecutor
 from repro.engine.sweep import trial_seed_sequences
 from repro.graphs.msbfs import pack_fault_lanes
 
 
-def _scalar_results(runner, f, seqs):
-    return [runner.run_trial(f, np.random.default_rng(seq)) for seq in seqs]
+def _scalar_results(executor, f, seqs):
+    return [executor.run_trial(f, np.random.default_rng(seq)) for seq in seqs]
 
 
 @settings(max_examples=40, deadline=None)
@@ -32,10 +32,10 @@ def _scalar_results(runner, f, seqs):
 )
 def test_batched_equals_scalar_property(d, n, f_fraction, seed, batch):
     """Random (d, n, f, seed, batch): batched == scalar, trial for trial."""
-    runner = FaultSweepRunner(d, n)
+    executor = KernelExecutor(d, n)
     f = int(f_fraction * d**n)  # spans 0 .. all-nodes-faulty
     seqs = trial_seed_sequences(seed, (f,), batch)[0]
-    assert runner.run_trials_batch(f, seqs) == _scalar_results(runner, f, seqs)
+    assert executor.run_trials_batch(f, seqs) == _scalar_results(executor, f, seqs)
 
 
 class TestRootFallbackRegime:
@@ -43,20 +43,20 @@ class TestRootFallbackRegime:
         """With f = total/2 the root necklace dies often; every trial agrees."""
         from repro.network.faults import sample_node_fault_codes
 
-        runner = FaultSweepRunner(2, 4)
+        executor = KernelExecutor(2, 4)
         f = 8
         peeled = 0
         for seed in range(30):
             seqs = trial_seed_sequences(seed, (f,), 16)[0]
-            assert runner.run_trials_batch(f, seqs) == _scalar_results(runner, f, seqs)
+            assert executor.run_trials_batch(f, seqs) == _scalar_results(executor, f, seqs)
             for seq in seqs:
                 trial_codes = sample_node_fault_codes(
                     2, 4, f, np.random.default_rng(seq)
                 )
-                removed = runner.codec.faulty_necklace_mask(
-                    np.asarray(trial_codes, dtype=runner.codec.dtype)
+                removed = executor.codec.faulty_necklace_mask(
+                    np.asarray(trial_codes, dtype=executor.codec.dtype)
                 )
-                if removed[runner.root_code]:
+                if removed[executor.root_code]:
                     peeled += 1
         assert peeled > 0, "fault rate failed to exercise the fallback regime"
 
@@ -67,8 +67,8 @@ class TestRootFallbackRegime:
         two distance-1 survivors 0000 and 0011 as tied candidates; extra
         necklaces make the tie configurations more varied.
         """
-        runner = FaultSweepRunner(2, 4)
-        codec = runner.codec
+        executor = KernelExecutor(2, 4)
+        codec = executor.codec
         fault_sets = [
             [1],            # R's necklace only: candidates 0000 and 0011
             [1, 3],         # also kill {0011, 0110, 1100, 1001}
@@ -81,32 +81,32 @@ class TestRootFallbackRegime:
         # rectangular batch via repetition: duplicated faults remove the same
         # necklaces, so each row's mask is exactly its fault set's mask
         lanes = pack_fault_lanes(codec, codes)
-        results = runner.executor._batched_fallbacks(lanes, list(range(len(fault_sets))))
+        results = executor._batched_fallbacks(lanes, list(range(len(fault_sets))))
         for t, fs in enumerate(fault_sets):
             removed = codec.faulty_necklace_mask(np.asarray(fs, dtype=codec.dtype))
-            assert removed[runner.root_code], "crafted mask must kill the root"
-            assert results[t] == runner.measure_mask(removed), fs
+            assert removed[executor.root_code], "crafted mask must kill the root"
+            assert results[t] == executor.measure_mask(removed), fs
 
     def test_all_nodes_removed_yields_zero_zero(self):
         """f = d**n removes every node: every trial reports (0, 0)."""
-        runner = FaultSweepRunner(2, 3)
+        executor = KernelExecutor(2, 3)
         seqs = trial_seed_sequences(0, (8,), 20)[0]
-        results = runner.run_trials_batch(8, seqs)
+        results = executor.run_trials_batch(8, seqs)
         assert results == [(0, 0)] * 20
-        assert results == _scalar_results(runner, 8, seqs)
+        assert results == _scalar_results(executor, 8, seqs)
 
     def test_batch_size_validation(self):
-        runner = FaultSweepRunner(2, 3)
+        executor = KernelExecutor(2, 3)
         from repro.exceptions import InvalidParameterError
 
         with pytest.raises(InvalidParameterError):
-            runner.run_trials_batch(1, [])
+            executor.run_trials_batch(1, [])
         with pytest.raises(InvalidParameterError):
-            runner.run_trials_batch(1, trial_seed_sequences(0, (1,), 65)[0])
+            executor.run_trials_batch(1, trial_seed_sequences(0, (1,), 65)[0])
 
 
 def test_custom_root_batched_equals_scalar():
-    runner = FaultSweepRunner(2, 5, root=(1, 0, 1, 0, 1))
+    executor = KernelExecutor(2, 5, root=(1, 0, 1, 0, 1))
     for f in (0, 2, 16, 31):
         seqs = trial_seed_sequences(9, (f,), 32)[0]
-        assert runner.run_trials_batch(f, seqs) == _scalar_results(runner, f, seqs)
+        assert executor.run_trials_batch(f, seqs) == _scalar_results(executor, f, seqs)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.fault_simulation import FaultSweepRunner, _cached_runner
+from repro.analysis.fault_simulation import simulate_fault_row
 from repro.engine.executor import KernelExecutor, cached_executor
 from repro.exceptions import InvalidParameterError
 from repro.topology import available_topologies, get_topology
@@ -81,23 +81,21 @@ class TestSharing:
     def test_cached_executor_is_shared_across_layers(self):
         executor = cached_executor(2, 6, None, "debruijn")
         assert cached_executor(2, 6, None, "debruijn") is executor
-        runner = _cached_runner(2, 6, None, "debruijn")
-        assert runner.executor is executor
 
-    def test_runner_is_a_thin_client(self):
-        runner = FaultSweepRunner(2, 6, topology="kautz")
-        assert isinstance(runner.executor, KernelExecutor)
-        assert runner.topology is runner.executor.topology
-        assert runner.root_code == runner.executor.root_code
+    def test_simulate_fault_row_is_a_loop_over_run_trial(self):
+        # the legacy sequential-rng row: one generator threaded through
+        # the trials of the shared executor
+        executor = cached_executor(2, 6, None, "kautz")
         rng = np.random.default_rng(0)
-        rng2 = np.random.default_rng(0)
-        assert runner.run_trial(2, rng) == runner.executor.run_trial(2, rng2)
-
-    def test_runner_accepts_prebuilt_executor(self):
-        executor = KernelExecutor(2, 5, topology="hypercube")
-        runner = FaultSweepRunner(executor=executor)
-        assert runner.executor is executor
-        assert (runner.d, runner.n, runner.topology_key) == (2, 5, "hypercube")
+        samples = [executor.run_trial(2, rng) for _ in range(5)]
+        row = simulate_fault_row(
+            2, 6, 2, trials=5, rng=np.random.default_rng(0), topology="kautz"
+        )
+        assert row.trials == 5
+        assert row.max_size == max(size for size, _ in samples)
+        assert row.min_ecc == min(ecc for _, ecc in samples)
+        assert row.avg_size == pytest.approx(np.mean([size for size, _ in samples]))
+        assert row.reference_size == executor.topology.reference_size(2)
 
     def test_service_measure_routes_through_shared_executor(self):
         from repro.engine.service import EmbeddingService

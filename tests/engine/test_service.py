@@ -160,13 +160,13 @@ class TestResponseRoundTrip:
 class TestMeasureQueries:
     """The topology-generic measurement API of the service."""
 
-    def test_measure_matches_runner(self):
-        from repro.analysis.fault_simulation import FaultSweepRunner
+    def test_measure_matches_executor(self):
+        from repro.engine.executor import KernelExecutor
 
         service = EmbeddingService()
         response = service.measure(2, 6, faults=[(0, 1, 2, 0, 1, 2)], topology="kautz")
-        runner = FaultSweepRunner(2, 6, topology="kautz")
-        assert (response.region_size, response.root_eccentricity) == runner.measure(
+        executor = KernelExecutor(2, 6, topology="kautz")
+        assert (response.region_size, response.root_eccentricity) == executor.measure(
             [(0, 1, 2, 0, 1, 2)]
         )
         assert response.topology == "kautz"
@@ -215,3 +215,34 @@ class TestMeasureQueries:
         response = service.measure(2, 6, faults=[(0, 1, 0, 1, 0, 1)], topology="kautz")
         rebuilt = MeasureResponse.from_dict(json.loads(json.dumps(response.as_dict())))
         assert rebuilt == response
+
+    def test_degraded_response_keeps_the_bound_only_body(self):
+        from repro.engine.service import MeasureRequest
+
+        request = MeasureRequest.make(2, 6, faults=[(0, 1, 0, 1, 1, 0)])
+        degraded = request.response(None, cached=False, elapsed_s=0.5)
+        data = degraded.as_dict()
+        # the gateway's degraded body: measured fields null, flag before
+        # elapsed_s, analytic fields those of a real measurement
+        assert list(data) == [
+            "topology", "d", "n", "faults", "fault_units", "root", "region_size",
+            "root_eccentricity", "reference_size", "guarantee_bound", "cached",
+            "degraded", "elapsed_s",
+        ]
+        assert data["degraded"] is True
+        assert data["root"] is data["region_size"] is data["root_eccentricity"] is None
+        real = EmbeddingService().measure(2, 6, faults=[(0, 1, 0, 1, 1, 0)])
+        assert data["fault_units"] == [list(w) for w in real.fault_units]
+        assert data["reference_size"] == real.reference_size
+        assert data["guarantee_bound"] == real.guarantee_bound
+        assert "degraded" not in real.as_dict()
+        assert MeasureResponse.from_dict(json.loads(json.dumps(data))) == degraded
+
+    def test_measure_request_key_ignores_fault_order_and_rotation(self):
+        from repro.engine.service import MeasureRequest
+
+        a = MeasureRequest.make(2, 5, faults=[(0, 0, 0, 1, 1), (0, 1, 0, 1, 1)])
+        b = MeasureRequest.make(2, 5, faults=[(1, 0, 1, 1, 0), (0, 0, 1, 1, 0)])
+        assert a.cache_key(1) == b.cache_key(1)
+        assert a.cache_key(1) != a.cache_key(2)  # the root code is part of it
+        assert a.fault_codes != b.fault_codes  # but the echoed faults differ

@@ -4,7 +4,10 @@ For every registered topology, any interleaving of concurrent
 embed/measure requests through the gateway must return byte-identical
 answers (JSON payloads modulo the ``cached``/``elapsed_s`` bookkeeping) to
 running the same queries one at a time through the scalar
-:class:`~repro.engine.service.EmbeddingService` path.  Hypothesis drives
+:class:`~repro.engine.service.EmbeddingService` path.  The gateway and the
+service share one request normaliser and one response builder, so measure
+answers are also compared with the churn driver's independent oracle
+(:class:`repro.churn.scenario._Oracle`), which builds its dict by hand.  Hypothesis drives
 the fault sets, the duplicate structure, the arrival order and the arrival
 jitter — which together determine how requests pack into kernel lanes,
 which requests hit the answer cache, and how batches split.
@@ -17,6 +20,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.churn.scenario import _Oracle
+from repro.churn.trace import ChurnTrace
 from repro.engine.service import EmbeddingService
 from repro.server.gateway import BatchingGateway, GatewayConfig
 from repro.topology import available_topologies, get_topology
@@ -116,7 +121,13 @@ def test_any_interleaving_matches_sequential_scalar(topology, data):
         return answers
 
     answers = asyncio.run(main())
+    oracle = _Oracle(ChurnTrace(topology, _D, _N, "equivalence", 0, ()))
     for index, (answer, want) in enumerate(zip(answers, expected)):
         assert _canonical(answer) == want, (
             f"request {index} ({requests[index]['kind']}) diverged on {topology}"
         )
+        if requests[index]["kind"] == "measure":
+            faults = [tuple(w) for w in requests[index]["faults"]]
+            assert _canonical(answer) == _canonical(oracle.measure(faults)), (
+                f"measure {index} diverged from the hand-built oracle on {topology}"
+            )

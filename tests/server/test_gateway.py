@@ -83,6 +83,33 @@ class TestRoutes:
 
         assert _with_gateway()(scenario) == 501
 
+    def test_negative_content_length_is_400_not_a_silent_drop(self):
+        async def scenario(gateway, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(
+                b"POST /measure HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: -5\r\n\r\n"
+            )
+            await writer.drain()
+            status_line = await reader.readline()
+            head = await reader.readuntil(b"\r\n\r\n")
+            length = int(
+                next(
+                    line.split(b":")[1]
+                    for line in head.split(b"\r\n")
+                    if line.lower().startswith(b"content-length")
+                )
+            )
+            body = json.loads(await reader.readexactly(length))
+            closed = await reader.read() == b""  # the gateway closes after
+            writer.close()
+            return int(status_line.split()[1]), body, closed
+
+        status, body, closed = _with_gateway()(scenario)
+        assert status == 400
+        assert body == {"error": "bad Content-Length"}
+        assert closed
+
     def test_unknown_topology_is_400(self):
         async def scenario(gateway, host, port):
             client = await AsyncServeClient.open(host, port)
@@ -95,6 +122,40 @@ class TestRoutes:
 
         status, payload = _with_gateway()(scenario)
         assert status == 400 and "torus" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "path, body, field",
+        [
+            ("/measure", {"d": 2.5, "n": 5}, "d"),
+            ("/measure", {"d": True, "n": 5}, "d"),
+            ("/measure", {"n": 5}, "d"),
+            ("/measure", {"d": 2, "n": "5"}, "n"),
+            ("/measure", {"d": 2, "n": 5, "faults": [[0, 0, 0, 1.7, 1]]}, "faults"),
+            ("/measure", {"d": 2, "n": 5, "faults": [5]}, "faults"),
+            ("/measure", {"d": 2, "n": 5, "root": [0, 0, 0, 0, 1.5]}, "root"),
+            ("/embed", {"d": 2.5, "n": 5}, "d"),
+            ("/embed", {"n": 5}, "d"),
+            ("/embed", {"d": 2, "n": 5, "faults": [[0, 0, 0, 1.7, 1]]}, "faults"),
+            ("/churn", {"d": 2, "n": 5.0, "op": "reset"}, "n"),
+            ("/churn", {"d": 2, "n": 5, "op": "fault"}, "node"),
+            ("/churn", {"d": 2, "n": 5, "op": "fault", "node": [0, 0, 0, 1.7, 1]},
+             "node"),
+            ("/churn", {"d": 2, "n": 5, "op": "fault", "node": [0, 0, 0, 1, 1],
+                        "seq": 0.5}, "seq"),
+        ],
+    )
+    def test_non_integer_or_missing_field_is_400_naming_it(self, path, body, field):
+        async def scenario(gateway, host, port):
+            client = await AsyncServeClient.open(host, port)
+            try:
+                return await client.request("POST", path, body)
+            finally:
+                await client.close()
+
+        status, payload = _with_gateway()(scenario)
+        assert status == 400, payload
+        assert f"'{field}'" in payload["error"]
+        assert "KeyError" not in payload["error"]
 
 
 class TestMeasure:
@@ -158,6 +219,43 @@ class TestMeasure:
 
         a, b = _with_gateway()(scenario)
         assert b["cached"] and a["fault_units"] == b["fault_units"]
+
+    def test_gateway_and_service_share_one_measurement_cache(self):
+        # a library measure() warms the cache the gateway answers from
+        service = EmbeddingService()
+        warm = service.measure(2, 6, faults=[(0, 0, 0, 1, 1, 0)])
+
+        async def scenario(gateway, host, port):
+            client = await AsyncServeClient.open(host, port)
+            try:
+                _, answer = await client.request(
+                    "POST", "/measure",
+                    {"topology": "debruijn", "d": 2, "n": 6,
+                     "faults": [[0, 0, 1, 1, 0, 0]], "root": None},  # rotated
+                )
+                _, stats = await client.request("GET", "/stats")
+                return answer, stats
+            finally:
+                await client.close()
+
+        config = GatewayConfig(port=0)
+
+        async def main():
+            gateway = BatchingGateway(config, service=service)
+            await gateway.start()
+            host, port = gateway.address
+            try:
+                return await scenario(gateway, host, port)
+            finally:
+                await gateway.close()
+
+        answer, stats = asyncio.run(main())
+        assert answer["cached"] is True
+        assert answer["region_size"] == warm.region_size
+        assert answer["fault_units"] == [list(w) for w in warm.fault_units]
+        assert stats["measure_cache"] == stats["service"]["measurements"]
+        assert stats["measure_cache"]["hits"] == 1
+        assert stats["measure_cache"]["misses"] == 1
 
 
 class TestEmbed:

@@ -20,8 +20,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.analysis.fault_simulation import FaultSweepRunner, simulate_fault_table
+from repro.analysis.fault_simulation import simulate_fault_table
 from repro.engine import ParallelSweepEngine
+from repro.engine.executor import KernelExecutor
 from repro.exceptions import CheckpointMismatchError
 from repro.topology import get_topology
 
@@ -65,8 +66,8 @@ class TestKernelScalarEquality:
         assert row.reference_size == topo.num_nodes
 
 
-class TestRunnerAgainstNetworkx:
-    """The runner's (size, eccentricity) vs plain BFS on the explicit graphs."""
+class TestExecutorAgainstNetworkx:
+    """The executor's (size, eccentricity) vs plain BFS on the explicit graphs."""
 
     def _reference_measure(self, g: nx.Graph | nx.DiGraph, root):
         lengths = nx.single_source_shortest_path_length(g, root)
@@ -75,78 +76,78 @@ class TestRunnerAgainstNetworkx:
     def test_kautz_measure_matches_networkx(self):
         from repro.graphs.kautz import KautzGraph
 
-        runner = FaultSweepRunner(2, 4, topology="kautz")
-        topo = runner.topology
+        executor = KernelExecutor(2, 4, topology="kautz")
+        topo = executor.topology
         rng = np.random.default_rng(0)
         for _ in range(25):
             codes = rng.choice(topo.num_nodes, size=2, replace=False)
             removed = topo.fault_unit_mask(codes)
-            if removed[runner.root_code]:
+            if removed[executor.root_code]:
                 continue  # fallback semantics tested separately
             g = KautzGraph(2, 4).to_networkx()
             g.remove_nodes_from(
                 [topo.decode(int(c)) for c in np.flatnonzero(removed)]
             )
-            expected = self._reference_measure(g, runner.root)
-            assert runner.measure_mask(removed) == expected
+            expected = self._reference_measure(g, executor.root)
+            assert executor.measure_mask(removed) == expected
 
     def test_hypercube_measure_matches_networkx(self):
         from repro.graphs.hypercube import HypercubeGraph
 
-        runner = FaultSweepRunner(2, 4, topology="hypercube")
+        executor = KernelExecutor(2, 4, topology="hypercube")
         rng = np.random.default_rng(1)
         for _ in range(25):
             codes = rng.choice(16, size=3, replace=False)
-            removed = runner.topology.fault_unit_mask(codes)
-            if removed[runner.root_code]:
+            removed = executor.topology.fault_unit_mask(codes)
+            if removed[executor.root_code]:
                 continue
             g = HypercubeGraph(4).to_networkx()
             g.remove_nodes_from(np.flatnonzero(removed).tolist())
-            expected = self._reference_measure(g, runner.root_code)
-            assert runner.measure_mask(removed) == expected
+            expected = self._reference_measure(g, executor.root_code)
+            assert executor.measure_mask(removed) == expected
 
     def test_shuffle_exchange_measure_matches_networkx(self):
         from repro.graphs.shuffle_exchange import ShuffleExchangeGraph
 
-        runner = FaultSweepRunner(2, 4, topology="shuffle_exchange")
-        topo = runner.topology
+        executor = KernelExecutor(2, 4, topology="shuffle_exchange")
+        topo = executor.topology
         rng = np.random.default_rng(2)
         for _ in range(25):
             codes = rng.choice(topo.num_nodes, size=3, replace=False)
             removed = topo.fault_unit_mask(codes)
-            if removed[runner.root_code]:
+            if removed[executor.root_code]:
                 continue
             g = ShuffleExchangeGraph(2, 4).to_networkx()
             g.remove_nodes_from([topo.decode(int(c)) for c in np.flatnonzero(removed)])
-            root_word = topo.decode(runner.root_code)
+            root_word = topo.decode(executor.root_code)
             if root_word not in g:
                 continue
             expected = self._reference_measure(g, root_word)
-            assert runner.measure_mask(removed) == expected
+            assert executor.measure_mask(removed) == expected
 
     def test_explicit_fault_words(self):
         # measure() accepts tuple words on every word-coded backend
-        runner = FaultSweepRunner(2, 5, topology="kautz")
-        size, ecc = runner.measure([(0, 1, 2, 0, 1)])
-        assert 0 < size < runner.topology.num_nodes
+        executor = KernelExecutor(2, 5, topology="kautz")
+        size, ecc = executor.measure([(0, 1, 2, 0, 1)])
+        assert 0 < size < executor.topology.num_nodes
         assert ecc > 0
 
 
 class TestRootFallback:
     @pytest.mark.parametrize("topology", ("kautz", "hypercube", "shuffle_exchange"))
     def test_dead_root_peels_to_fallback(self, topology):
-        runner = FaultSweepRunner(2, 6, topology=topology)
-        topo = runner.topology
-        removed = topo.fault_unit_mask([runner.root_code])
-        size, ecc = runner.measure_mask(removed)
+        executor = KernelExecutor(2, 6, topology=topology)
+        topo = executor.topology
+        removed = topo.fault_unit_mask([executor.root_code])
+        size, ecc = executor.measure_mask(removed)
         assert size > 0  # fell back to a neighbouring root
         # batched path agrees bit-for-bit (the dead-root trial is peeled)
-        assert runner.executor._fallback_stats(removed) == (size, ecc)
+        assert executor._fallback_stats(removed) == (size, ecc)
 
     def test_all_nodes_removed_yields_zero(self):
-        runner = FaultSweepRunner(2, 3, topology="shuffle_exchange")
-        removed = np.ones(runner.topology.num_nodes, dtype=bool)
-        assert runner.measure_mask(removed) == (0, 0)
+        executor = KernelExecutor(2, 3, topology="shuffle_exchange")
+        removed = np.ones(executor.topology.num_nodes, dtype=bool)
+        assert executor.measure_mask(removed) == (0, 0)
 
 
 class TestTopologyCheckpoints:
@@ -234,66 +235,27 @@ class TestTopologyCheckpoints:
         assert resumed == full
 
 
-class TestRunnerBackendAuthority:
-    """A supplied runner's backend drives measurement AND aggregation."""
+class TestCustomBackends:
+    """Custom backends join a sweep through the registry."""
 
-    def test_engine_adopts_runner_topology(self):
-        runner = FaultSweepRunner(2, 6, topology="hypercube")
-        [row] = ParallelSweepEngine(2, 6, runner=runner).run((1,), trials=4, seed=0)
+    def test_engine_reference_column_follows_topology(self):
+        [row] = ParallelSweepEngine(2, 6, topology="hypercube").run((1,), trials=4, seed=0)
         assert row.reference_size == 2**6 - 1  # hypercube N - f, not d^n - nf
 
-    def test_conflicting_topology_key_rejected(self):
-        runner = FaultSweepRunner(2, 6, topology="hypercube")
-        with pytest.raises(Exception, match="conflicts"):
-            ParallelSweepEngine(2, 6, runner=runner, topology="kautz")
-        # an explicit default key conflicting with the runner is caught too
-        with pytest.raises(Exception, match="conflicts"):
-            ParallelSweepEngine(2, 6, runner=runner, topology="debruijn")
-
-    def test_mismatched_runner_params_rejected(self):
-        # workers rebuild their runner from the engine's (d, n, root), so a
-        # runner measuring a different graph would make serial and parallel
-        # rows diverge — refuse at construction
-        with pytest.raises(Exception, match="engine"):
-            ParallelSweepEngine(2, 7, runner=FaultSweepRunner(2, 6))
-        with pytest.raises(Exception, match="root"):
-            ParallelSweepEngine(
-                2, 6, root=(1, 0, 1, 0, 1, 0), runner=FaultSweepRunner(2, 6)
-            )
-        # matching root (or None) is fine
-        runner = FaultSweepRunner(2, 6, root=(1, 0, 1, 0, 1, 0))
-        ParallelSweepEngine(2, 6, root=(1, 0, 1, 0, 1, 0), runner=runner)
-        ParallelSweepEngine(2, 6, runner=runner)
-
-    def test_run_table_on_unregistered_topology_instance(self):
-        from repro.topology import HypercubeTopology
+    def test_registered_custom_topology_sweeps(self, monkeypatch):
+        from repro.topology import HypercubeTopology, register_topology, registry
 
         class CustomCube(HypercubeTopology):
             key = "custom_cube_for_test"
 
-        runner = FaultSweepRunner(2, 5, topology=CustomCube(2, 5))
-        rows = runner.run_table(fault_counts=(0, 1), trials=3, seed=0)
+        # register on a copy of the factory table so the key does not leak
+        monkeypatch.setattr(registry, "_FACTORIES", dict(registry._FACTORIES))
+        register_topology(CustomCube.key, CustomCube)
+        engine = ParallelSweepEngine(2, 5, topology=CustomCube.key)
+        rows = engine.run(fault_counts=(0, 1), trials=3, seed=0)
+        assert engine.topology == CustomCube.key
         assert rows[0].max_size == 32
         assert rows[1].reference_size == 32 - 1  # single-node units
-
-    def test_unregistered_topology_cannot_run_parallel(self):
-        from repro.topology import HypercubeTopology
-
-        class CustomCube(HypercubeTopology):
-            key = "custom_cube_for_test_2"
-
-        runner = FaultSweepRunner(2, 5, topology=CustomCube(2, 5))
-        engine = ParallelSweepEngine(2, 5, runner=runner, workers=2)
-        with pytest.raises(Exception, match="register"):
-            engine.run((1,), trials=2, seed=0)
-
-    def test_checkpoint_header_uses_runner_topology(self, tmp_path):
-        path = tmp_path / "ck.json"
-        runner = FaultSweepRunner(2, 6, topology="shuffle_exchange")
-        ParallelSweepEngine(2, 6, runner=runner, checkpoint_path=path).run(
-            (1,), trials=2, seed=0
-        )
-        assert json.loads(path.read_text())["topology"] == "shuffle_exchange"
 
 
 class TestRegistryReRegistration:
